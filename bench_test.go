@@ -522,14 +522,13 @@ func BenchmarkGALocalImprove(b *testing.B) {
 // one).
 func BenchmarkGAGeneration(b *testing.B) {
 	seq := ablationWorkload(b)
-	cfg := gaBase(1)
-	cfg.Generations = 1
-	cfg.Kernel = placement.NewCostKernel(seq)
+	opts := placement.Options{GA: gaBase(1), Kernel: placement.NewCostKernel(seq), DisableGASeeding: true}
+	opts.GA.Generations = 1
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i) + 1
-		if _, err := placement.GA(seq, 4, cfg); err != nil {
+		opts.GA.Seed = int64(i) + 1
+		if _, _, err := placement.Place(placement.StrategyGA, seq, 4, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 // Command rtmtrace converts, inspects and generates access traces in
 // the compact binary format the out-of-core pipeline consumes
-// (DESIGN.md §12).
+// (DESIGN.md §12), and emits the synthetic OffsetStone-like suite in
+// the text format rtmplace reads.
 //
 // Usage:
 //
@@ -9,6 +10,10 @@
 //	rtmtrace inspect trace.rtb
 //	rtmtrace synth -vars 4096 -accesses 10000000 -seed 1 -o big.rtb
 //	rtmtrace kernel big.rtb
+//	rtmtrace gen -list
+//	rtmtrace gen gsm > gsm.trace
+//	rtmtrace gen -all traces/
+//	rtmtrace gen -vars 40 -len 600 -sequences 3 -phases 3 custom > c.trace
 //
 // convert translates between the text formats ('vars' named-variable
 // traces, 'addr' raw R/W address records) and the binary format; it
@@ -20,7 +25,9 @@
 // sequence's fingerprint trailer. kernel builds the streaming cost
 // kernel over each sequence — the out-of-core analysis step, with a
 // working set proportional to distinct variables, not trace length —
-// and reports the kernel's shape.
+// and reports the kernel's shape. gen writes one OffsetStone benchmark
+// (or, with -all, every one) as a text trace; with -vars and -len it
+// generates a custom profile under the given name instead.
 package main
 
 import (
@@ -28,8 +35,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	racetrack "repro"
+	"repro/internal/offsetstone"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -47,6 +57,8 @@ func main() {
 		err = cmdSynth(os.Args[2:])
 	case "kernel":
 		err = cmdKernel(os.Args[2:])
+	case "gen":
+		err = cmdGen(os.Args[2:], os.Stdout)
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -66,7 +78,8 @@ func usage() {
   rtmtrace convert [-from vars|addr|bin] [-to bin|vars] [-word-bytes n] [-o out] <in|->
   rtmtrace inspect <trace.rtb|->
   rtmtrace synth -vars n -accesses n [-seed n] [-zipf s] [-write-fraction f] [-o out]
-  rtmtrace kernel <trace.rtb|->`)
+  rtmtrace kernel <trace.rtb|->
+  rtmtrace gen [-list] [-all dir] [-vars n -len n [-sequences n] [-phases n] [-loopiness f] [-writes f]] <benchmark-name>`)
 }
 
 // openIn opens the input argument ("-" is stdin).
@@ -336,6 +349,78 @@ func cmdKernel(args []string) error {
 		}
 		fmt.Printf("  seq %d: %d accesses, %d variables -> kernel %d nnz, %d candidate slots\n",
 			i, k.Accesses(), k.NumVars(), k.NNZ(), k.Candidates())
+	}
+	return nil
+}
+
+func cmdGen(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("gen", flag.ExitOnError)
+	list := fs.Bool("list", false, "list available benchmark names")
+	all := fs.String("all", "", "write every benchmark as <dir>/<name>.trace and exit")
+	vars := fs.Int("vars", 0, "custom profile: max variables per sequence")
+	length := fs.Int("len", 0, "custom profile: max sequence length")
+	sequences := fs.Int("sequences", 4, "custom profile: number of sequences")
+	phases := fs.Int("phases", 3, "custom profile: program phases per sequence")
+	loopiness := fs.Float64("loopiness", 0.5, "custom profile: loop-kernel fraction")
+	writes := fs.Float64("writes", 0.3, "custom profile: write fraction")
+	fs.Parse(args)
+
+	if *list {
+		for _, n := range offsetstone.Names() {
+			p, _ := offsetstone.ProfileFor(n)
+			fmt.Fprintf(stdout, "%-10s %2d sequences, %4d..%4d vars, %4d..%4d accesses\n",
+				n, p.Sequences, p.MinVars, p.MaxVars, p.MinLen, p.MaxLen)
+		}
+		return nil
+	}
+	if *all != "" {
+		return writeAll(*all)
+	}
+	if fs.NArg() != 1 {
+		return fmt.Errorf("gen wants exactly one benchmark name (or -list, or -all dir)")
+	}
+	name := fs.Arg(0)
+
+	var b *trace.Benchmark
+	if *vars > 0 && *length > 0 {
+		b = offsetstone.GenerateProfile(offsetstone.Profile{
+			Name: name, Sequences: *sequences,
+			MinVars: 2, MaxVars: *vars,
+			MinLen: 2, MaxLen: *length,
+			Phases: *phases, Loopiness: *loopiness,
+			HotFraction: 0.15, WriteFraction: *writes,
+		})
+	} else {
+		var err error
+		if b, err = offsetstone.Generate(name); err != nil {
+			return err
+		}
+	}
+	return trace.Write(stdout, b)
+}
+
+// writeAll dumps the full synthetic suite into dir, one file per
+// benchmark.
+func writeAll(dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, name := range offsetstone.Names() {
+		b, err := offsetstone.Generate(name)
+		if err != nil {
+			return err
+		}
+		f, err := os.Create(filepath.Join(dir, name+".trace"))
+		if err != nil {
+			return err
+		}
+		if err := trace.Write(f, b); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
 	}
 	return nil
 }

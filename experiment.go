@@ -248,8 +248,7 @@ func (l *Lab) Run(ctx context.Context, spec ExperimentSpec) (*ExperimentResult, 
 func (l *Lab) experimentConfig(cfg ExperimentConfig) ExperimentConfig {
 	quick := eval.Quick()
 	gaZero := cfg.GA.Mu == 0 && cfg.GA.Seed == 0 && cfg.GA.Workers == 0 &&
-		cfg.GA.ImproveWeight == 0 && len(cfg.GA.Seeds) == 0 && cfg.GA.Port == nil &&
-		cfg.GA.Islands == 0
+		cfg.GA.ImproveWeight == 0 && len(cfg.GA.Seeds) == 0 && cfg.GA.Islands == 0
 	rwZero := cfg.RW.Iterations == 0 && cfg.RW.Seed == 0
 	zero := len(cfg.DBCCounts) == 0 && cfg.Benchmarks == nil &&
 		cfg.MaxSequences == 0 && cfg.MaxSequenceLen == 0 &&
@@ -275,8 +274,6 @@ func (l *Lab) experimentConfig(cfg ExperimentConfig) ExperimentConfig {
 			ga.ImproveWeight = cfg.GA.ImproveWeight
 			ga.Seeds = cfg.GA.Seeds
 			ga.Capacity = cfg.GA.Capacity
-			ga.Kernel = cfg.GA.Kernel
-			ga.Port = cfg.GA.Port
 			ga.Islands = cfg.GA.Islands
 			ga.MigrationEvery = cfg.GA.MigrationEvery
 			ga.Elites = cfg.GA.Elites
@@ -289,8 +286,6 @@ func (l *Lab) experimentConfig(cfg ExperimentConfig) ExperimentConfig {
 				rw.Seed = cfg.RW.Seed
 			}
 			rw.Capacity = cfg.RW.Capacity
-			rw.Kernel = cfg.RW.Kernel
-			rw.Port = cfg.RW.Port
 			cfg.RW = rw
 		}
 	}

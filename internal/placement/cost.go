@@ -2,6 +2,7 @@ package placement
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/rtm"
@@ -25,58 +26,39 @@ func ShiftCost(s *trace.Sequence, p *Placement) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	sc := replayPool.Get().(*replayScratch)
-	c := shiftCostLookup(s, l, sc.grow(numDBCsIn(l)))
-	replayPool.Put(sc)
+	sc := scratchPool.Get().(*scratch)
+	c := shiftCostLookupBounded(s, l, sc.grow(numDBCsIn(l)), math.MaxInt64)
+	scratchPool.Put(sc)
 	return c, nil
 }
 
-// replayScratch is the reusable last-offset buffer of the replay loop,
-// pooled so repeated ShiftCost calls stop allocating per call.
-type replayScratch struct{ last []int }
+// scratch is the reusable per-DBC state buffer of the replay loops (the
+// last offset of the single-port replay, the track offset of the
+// multi-port one), pooled so repeated one-off pricing stops allocating
+// per call.
+type scratch struct{ buf []int }
 
-var replayPool = sync.Pool{New: func() any { return new(replayScratch) }}
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // grow returns the scratch resized to q entries, reusing the backing
-// array when it is large enough. shiftCostLookup resets the contents.
-func (sc *replayScratch) grow(q int) []int {
-	if cap(sc.last) < q {
-		sc.last = make([]int, q)
+// array when it is large enough. The replay loops reset the contents.
+func (sc *scratch) grow(q int) []int {
+	if cap(sc.buf) < q {
+		sc.buf = make([]int, q)
 	}
-	sc.last = sc.last[:q]
-	return sc.last
+	sc.buf = sc.buf[:q]
+	return sc.buf
 }
 
-// shiftCostLookup is the allocation-free inner loop of the replay path.
-// The lookup must cover every accessed variable; last must have one entry
-// per DBC of the lookup (callers thread a reusable buffer through).
-func shiftCostLookup(s *trace.Sequence, l *Lookup, last []int) int64 {
-	// last[d] is the offset of the previously accessed variable in DBC d,
-	// or -1 when the DBC is still cold.
-	for i := range last {
-		last[i] = -1
-	}
-	var total int64
-	for _, a := range s.Accesses {
-		d := l.DBCOf[a.Var]
-		off := l.Offset[a.Var]
-		if prev := last[d]; prev >= 0 {
-			if off > prev {
-				total += int64(off - prev)
-			} else {
-				total += int64(prev - off)
-			}
-		}
-		last[d] = off
-	}
-	return total
-}
-
-// shiftCostLookupBounded is shiftCostLookup with an abort threshold: the
-// running total only grows, so once it reaches bound the final cost
-// provably does too and the replay stops. Exact below bound; at or
-// above bound the value is only a certificate that cost >= bound.
-// Best-of-N searches use it to discard losing placements early.
+// shiftCostLookupBounded is the allocation-free inner loop of the replay
+// path, with an abort threshold: the running total only grows, so once it
+// reaches bound the final cost provably does too and the replay stops.
+// Exact below bound (math.MaxInt64 prices in full); at or above bound the
+// value is only a certificate that cost >= bound. Best-of-N searches use
+// it to discard losing placements early. The lookup must cover every
+// accessed variable; last must have one entry per DBC of the lookup
+// (callers thread a reusable buffer through). last[d] is the offset of
+// the previously accessed variable in DBC d, or -1 while it is cold.
 func shiftCostLookupBounded(s *trace.Sequence, l *Lookup, last []int, bound int64) int64 {
 	for i := range last {
 		last[i] = -1
@@ -226,18 +208,4 @@ func EngineCostAt(s *trace.Sequence, p *Placement, domainsPerDBC int, portPos []
 		total += int64(c)
 	}
 	return total, nil
-}
-
-// LowerBound returns a simple lower bound on the shift cost of any
-// placement into q DBCs. For q == 1 every transition between distinct
-// variables costs at least one shift (distinct variables occupy distinct
-// offsets), so the non-self transition count bounds the cost from below.
-// For q > 1 a transition pair can be split across DBCs at zero cost, so
-// the only safe generic bound is zero.
-func LowerBound(s *trace.Sequence, q int) int64 {
-	if q > 1 {
-		return 0
-	}
-	g := trace.BuildGraph(s)
-	return int64(g.TotalWeight())
 }

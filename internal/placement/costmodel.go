@@ -270,18 +270,6 @@ func (m *CostModel) Price(t Tally) Cost {
 	return c
 }
 
-// Better reports whether shift count a beats shift count b under the
-// model's objective. Because every constructible model's scalar is
-// strictly increasing in shifts (NewCostModel's invariant) and the
-// non-shift terms are placement-independent, the scalarized comparison
-// reduces to the raw shift comparison — this is the tie-break rule too:
-// equal shifts price to equal scalars, and ties fall to whatever
-// deterministic order the caller already had (GA population index,
-// portfolio order). A nil model compares raw shifts.
-//
-//rtm:hotpath
-func (m *CostModel) Better(a, b int64) bool { return a < b }
-
 // TallyOf pairs a sequence's (placement-independent) read/write counts
 // with a shift count computed for one of its placements. One O(n) pass
 // over the accesses — a reporting-boundary helper.

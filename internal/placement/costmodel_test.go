@@ -285,8 +285,5 @@ func TestCostModelScalarMonotoneInShifts(t *testing.T) {
 			}
 			prev = c.Scalar
 		}
-		if !m.Better(3, 4) || m.Better(4, 3) || m.Better(4, 4) {
-			t.Errorf("%s: Better is not the strict shift order", m.Spec())
-		}
 	}
 }

@@ -23,29 +23,20 @@ func PlaceDMATwoOpt(s *trace.Sequence, q int, opts Options) (*Placement, int64, 
 	if err != nil {
 		return nil, 0, err
 	}
-	kern := opts.Kernel
-	if kern == nil || kern.Sequence() != s {
-		kern = nil
-	}
-	pm, err := opts.PortModelFor(q)
+	ev, err := opts.Evaluator(s, q)
 	if err != nil {
 		return nil, 0, err
 	}
 	// Under a multi-port objective the single-port polish still runs
 	// first (it is the cheap surrogate), then a port-aware 2-opt sweep
-	// polishes under the true objective. Because the port pass starts
-	// from exactly the order the single-port pipeline produces and only
-	// accepts improving moves, the multi-port DMA-2opt placement never
-	// scores worse on the device than the single-port one replayed on
-	// it — the monotonicity the ports-sweep experiment asserts.
+	// polishes under the true objective (Evaluator.Improve), so the
+	// multi-port DMA-2opt placement never scores worse on the device
+	// than the single-port one replayed on it — the monotonicity the
+	// ports-sweep experiment asserts.
 	refined := func(vars []int, s *trace.Sequence, a *trace.Analysis) []int {
-		out := twoOptWithKernel(ShiftsReduce(vars, s, a), s, kern)
-		if pm != nil {
-			out = twoOptPort(out, s, pm)
-		}
-		return out
+		return ev.Improve(ShiftsReduce(vars, s, a))
 	}
 	p := ApplyIntra(r.Placement, r.DisjointDBCs, q, refined, s, a)
-	c, err := costOf(s, p, q, opts)
+	c, err := ev.Cost(p)
 	return p, c, err
 }

@@ -11,9 +11,10 @@ import (
 // FuzzKernelParity feeds arbitrary byte strings interpreted as (variable
 // universe, access sequence, DBC assignment, offset shuffle) and checks
 // that the O(nnz) CostKernel evaluation stays bit-identical to the
-// ShiftCost replay oracle, and that the kernel-derived DeltaEvaluator
-// agrees with the replay-built one on every DBC. Run in CI's fuzz-smoke
-// job alongside FuzzDeltaParity.
+// ShiftCost replay oracle, that the kernel-derived DeltaEvaluator
+// agrees with the replay-built one on every DBC, and that the Evaluator
+// agrees on both of its single-port paths (kernel and replay). Run in
+// CI's fuzz-smoke job alongside FuzzDeltaParity.
 func FuzzKernelParity(f *testing.F) {
 	f.Add([]byte{5, 2, 0, 1, 2, 3, 4, 0, 1, 2, 1, 0, 3, 9, 9})
 	f.Add([]byte{3, 1, 0, 1, 2, 0, 1, 2, 2, 0, 1, 7})
@@ -77,6 +78,9 @@ func FuzzKernelParity(f *testing.F) {
 		if sgot, err := ks.Evaluate(p); err != nil || sgot != want {
 			t.Fatalf("stream kernel %d (err %v), replay %d\nseq: %v\nplacement: %v", sgot, err, want, s, p)
 		}
+		for _, ev := range []*Evaluator{NewEvaluator(s, k, nil), NewEvaluator(s, nil, nil)} {
+			checkEvaluator(t, ev, p, want)
+		}
 		for _, d := range p.DBC {
 			if len(d) == 0 {
 				continue
@@ -98,7 +102,8 @@ func FuzzKernelParity(f *testing.F) {
 // EngineCostAt shift-engine oracle for every port layout — including
 // tracks grown past the layout's domain count — and that the ports == 1
 // case stays bit-identical to the single-port replay oracle and the
-// cost kernel. Run in CI's fuzz-smoke job.
+// cost kernel. The Evaluator over the same model must agree as well. Run
+// in CI's fuzz-smoke job.
 func FuzzPortCostParity(f *testing.F) {
 	f.Add([]byte{5, 2, 2, 3, 0, 1, 2, 3, 4, 0, 1, 2, 1, 0, 3, 9, 9})
 	f.Add([]byte{3, 1, 1, 0, 0, 1, 2, 0, 1, 2, 2, 0, 1, 7})
@@ -170,6 +175,7 @@ func FuzzPortCostParity(f *testing.F) {
 			t.Fatalf("PortCost %d, EngineCostAt %d (ports %d, layout %d)\nseq: %v\nplacement: %v",
 				got, want, ports, layoutDomains, s, p)
 		}
+		checkEvaluator(t, NewEvaluator(s, nil, m), p, want)
 		if ports == 1 {
 			replay, err := ShiftCost(s, p)
 			if err != nil {
@@ -184,6 +190,32 @@ func FuzzPortCostParity(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkEvaluator asserts the evaluator's full, bounded and per-DBC
+// pricing of p against the oracle cost want.
+func checkEvaluator(t *testing.T, ev *Evaluator, p *Placement, want int64) {
+	t.Helper()
+	if c, err := ev.Cost(p); err != nil || c != want {
+		t.Fatalf("Evaluator.Cost %d (err %v), oracle %d", c, err, want)
+	}
+	if c, err := ev.CostBounded(p, want+1); err != nil || c != want {
+		t.Fatalf("Evaluator.CostBounded above the cost: %d (err %v), oracle %d", c, err, want)
+	}
+	if c, err := ev.CostBounded(p, want); err != nil || c < want {
+		t.Fatalf("Evaluator.CostBounded at the cost: %d (err %v) below the bound %d", c, err, want)
+	}
+	b, err := ev.Breakdown(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum int64
+	for _, c := range b.PerDBC {
+		sum += c
+	}
+	if b.Total != want || sum != want {
+		t.Fatalf("Evaluator.Breakdown total %d (per-DBC sum %d), oracle %d", b.Total, sum, want)
+	}
 }
 
 // FuzzDeltaParity feeds arbitrary byte strings interpreted as (variable
@@ -419,9 +451,6 @@ func FuzzCostModelMonotone(f *testing.F) {
 				if ca.Scalar != cb.Scalar {
 					t.Fatalf("%s: equal shifts %d but scalars %v != %v", m.Spec(), sa, ca.Scalar, cb.Scalar)
 				}
-			}
-			if m.Better(sa, sb) != (sa < sb) {
-				t.Fatalf("%s: Better(%d, %d) disagrees with the shift order", m.Spec(), sa, sb)
 			}
 		}
 	})

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"repro/internal/trace"
@@ -52,22 +51,6 @@ type GAConfig struct {
 	// (0 or 1 = sequential). Search decisions stay on one PRNG stream, so
 	// results are deterministic for a fixed Seed regardless of Workers.
 	Workers int
-	// Kernel optionally supplies a pre-built cost kernel for the
-	// sequence; fitness evaluation runs through it in O(nnz) per
-	// individual. When nil (or built from a different sequence) the GA
-	// builds its own — the build is O(accesses) once, against thousands
-	// of per-individual replays it replaces. Costs are bit-identical to
-	// the replay path either way.
-	Kernel *CostKernel
-	// Port, when non-nil, switches the objective to the multi-port cost
-	// model: fitness is the exact nearest-port replay (portcost.go) and
-	// the memetic improve operator polishes with the port-aware
-	// evaluator, so the GA searches the objective the device will
-	// realize instead of the single-port proxy. The kernel and its DBC
-	// cost cache only price the single-port model and are bypassed.
-	// Strategies resolve this from Options.Ports; nil is the paper's
-	// single-port model.
-	Port *PortModel
 	// Islands, when > 1, switches to the island model (islands.go): that
 	// many independent populations evolve on derived seeds and exchange
 	// elites over a ring every MigrationEvery generations, with islands
@@ -89,29 +72,6 @@ type GAConfig struct {
 	// round. It is invoked from the coordinating goroutine between
 	// rounds (islands ascending), so it needs no locking of its own.
 	IslandProgress func(island, generation int, best int64)
-	// Cost, when non-nil, names the objective the search optimizes for.
-	// Fitness remains the int64 shift count (the kernel/delta/port hot
-	// paths are untouched): every constructible objective is strictly
-	// monotone in shifts for a fixed configuration (costmodel.go), so
-	// CostModel.Better is exactly `a < b` and selection, elitism and the
-	// best-so-far trajectory are bit-identical across objectives. The
-	// comparison sites route through better() to keep that reduction in
-	// one place; the model prices the final result at the reporting
-	// boundary, not here. nil is the raw shift objective.
-	Cost *CostModel
-}
-
-// better reports whether fitness a beats fitness b under the configured
-// objective. Fitness is the shift count even when Cost carries a derived
-// objective (energy, runtime, faulty) — the monotone reduction makes
-// CostModel.Better coincide with `a < b`, so trajectories (and the
-// determinism tests that pin them) are identical across objectives.
-// Ties keep the earlier individual, as the serial GA always has.
-func (cfg *GAConfig) better(a, b int64) bool {
-	if m := cfg.Cost; m != nil {
-		return m.Better(a, b)
-	}
-	return a < b
 }
 
 // DefaultMigrationEvery is the island-model migration interval used when
@@ -156,7 +116,14 @@ type individual struct {
 }
 
 // GA runs the paper's µ+λ genetic algorithm over complete placements for
-// the sequence into q DBCs. It is GAContext without cancellation.
+// the sequence into q DBCs, under the single-port cost model. It is
+// GAContext without cancellation.
+//
+// Fitness is the int64 shift count under every objective: each
+// constructible CostModel is strictly monotone in shifts (costmodel.go),
+// so comparing shifts is comparing scalarized costs, and selection,
+// elitism and the best-so-far trajectory are identical across
+// objectives. Ties keep the earlier individual.
 func GA(s *trace.Sequence, q int, cfg GAConfig) (*GAResult, error) {
 	//rtmlint:ctxcheck-ok legacy compat entry point without cancellation; no caller context exists
 	return GAContext(context.Background(), s, q, cfg)
@@ -169,15 +136,23 @@ func GA(s *trace.Sequence, q int, cfg GAConfig) (*GAResult, error) {
 // far together with the context's error — callers that can use a
 // partial result get one, callers that cannot treat it as a plain
 // failure. With cfg.Islands > 1 the search runs the island model of
-// islands.go.
+// islands.go. The GA builds the sequence's cost kernel itself; the GA
+// strategy (registry.go) runs it on the options' evaluator instead, which
+// may carry a shared kernel or a multi-port model.
 func GAContext(ctx context.Context, s *trace.Sequence, q int, cfg GAConfig) (*GAResult, error) {
+	return runGA(ctx, NewEvaluator(s, nil, nil), q, cfg)
+}
+
+// runGA is GAContext on a resolved cost path: fitness and the memetic
+// polish price through ev.
+func runGA(ctx context.Context, ev *Evaluator, q int, cfg GAConfig) (*GAResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if cfg.Islands > 1 {
-		return islandGA(ctx, s, q, cfg)
+		return islandGA(ctx, ev, q, cfg)
 	}
-	r, err := newGARun(s, q, cfg)
+	r, err := newGARun(ev, q, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -196,27 +171,24 @@ func GAContext(ctx context.Context, s *trace.Sequence, q int, cfg GAConfig) (*GA
 // gaRun is one GA population mid-search: the serial GA is a loop of
 // step() calls over a single gaRun, and the island model advances one
 // gaRun per island (islands.go), migrating elites between rounds. All
-// run-long state (PRNG stream, kernel + DBC cost cache, scratch buffers,
-// placement free list) lives here, so stepping stays allocation-free and
-// a run split into rounds is bit-identical to an uninterrupted one.
+// run-long state (PRNG stream, fitness state, scratch buffers, placement
+// free list) lives here, so stepping stays allocation-free and a run
+// split into rounds is bit-identical to an uninterrupted one.
 type gaRun struct {
-	s    *trace.Sequence
+	ev   *Evaluator
 	q    int
 	cfg  GAConfig
 	rng  *rand.Rand
 	vars []int
 
-	lookup  *Lookup
-	kern    *CostKernel
-	cache   *dbcCostCache
-	portOff []int
+	fit *fitness
 
 	pop  []individual
 	best individual
 
-	xsc          xoverScratch // crossover's variable→DBC tables, reused all run
-	pp           placementPool
-	workerCaches []*workerEval
+	xsc     xoverScratch // crossover's variable→DBC tables, reused all run
+	pp      placementPool
+	workers []*fitness // parallel fitness state, one per worker
 
 	gens      int
 	evalCount int64
@@ -231,14 +203,14 @@ type gaRun struct {
 // newGARun validates the configuration and initializes the population
 // (heuristic seeds first, then random placements), exactly as the serial
 // GA always has.
-func newGARun(s *trace.Sequence, q int, cfg GAConfig) (*gaRun, error) {
+func newGARun(ev *Evaluator, q int, cfg GAConfig) (*gaRun, error) {
 	if q <= 0 {
 		return nil, fmt.Errorf("placement: q must be positive, got %d", q)
 	}
 	if cfg.Mu <= 0 || cfg.Lambda <= 0 || cfg.Generations < 0 || cfg.TournamentK <= 0 {
 		return nil, fmt.Errorf("placement: invalid GA config %+v", cfg)
 	}
-	a := trace.Analyze(s)
+	a := trace.Analyze(ev.s)
 	vars := a.ByFirstUse() // variables indexed by appearance order, as the crossover requires
 	if len(vars) == 0 {
 		return &gaRun{trivial: &GAResult{Best: NewEmpty(q)}}, nil
@@ -251,29 +223,13 @@ func newGARun(s *trace.Sequence, q int, cfg GAConfig) (*gaRun, error) {
 		histCap = 4096
 	}
 	r := &gaRun{
-		s:       s,
+		ev:      ev,
 		q:       q,
 		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		vars:    vars,
-		lookup:  &Lookup{DBCOf: make([]int, s.NumVars()), Offset: make([]int, s.NumVars())},
+		fit:     ev.fitness(q), // allocation-free pricing from here on
 		history: make([]int64, 0, histCap),
-	}
-
-	// All fitness evaluation runs through the cost kernel: O(nnz) per
-	// individual, allocation-free after this point (the lookup buffer is
-	// reused in place). cfg.Kernel shares one build across callers (the
-	// engine batch layer, repeated GA runs on one sequence, the islands
-	// of one island run). Under a multi-port objective the kernel and
-	// its DBC cache cannot price the stateful model; fitness is the
-	// exact multi-port replay instead, allocation-free on the same
-	// reused buffers.
-	if cfg.Port == nil {
-		r.kern = kernelFor(cfg.Kernel, s)
-		r.cfg.Kernel = r.kern // the memetic improve operator derives its DeltaEvaluator from it
-		r.cache = newDBCCostCache(r.kern)
-	} else {
-		r.portOff = make([]int, q)
 	}
 
 	r.pop = make([]individual, 0, cfg.Mu)
@@ -294,7 +250,7 @@ func newGARun(s *trace.Sequence, q int, cfg GAConfig) (*gaRun, error) {
 
 	r.best = r.pop[0]
 	for _, ind := range r.pop[1:] {
-		if r.cfg.better(ind.cost, r.best.cost) {
+		if ind.cost < r.best.cost {
 			r.best = ind
 		}
 	}
@@ -303,12 +259,8 @@ func newGARun(s *trace.Sequence, q int, cfg GAConfig) (*gaRun, error) {
 
 // eval prices one placement under the run's objective.
 func (r *gaRun) eval(p *Placement) int64 {
-	fillLookup(r.lookup, p)
 	r.evalCount++
-	if r.cfg.Port != nil {
-		return portCostLookup(r.s, r.lookup, r.cfg.Port, r.portOff)
-	}
-	return r.cache.eval(r.lookup, p)
+	return r.fit.cost(p)
 }
 
 // step advances the population by one generation.
@@ -318,8 +270,8 @@ func (r *gaRun) step() {
 	// stream), then evaluate fitness — possibly in parallel.
 	offspring := make([]individual, 0, cfg.Lambda)
 	for len(offspring) < cfg.Lambda {
-		p1 := tournament(r.rng, r.pop, cfg.TournamentK, &cfg)
-		p2 := tournament(r.rng, r.pop, cfg.TournamentK, &cfg)
+		p1 := tournament(r.rng, r.pop, cfg.TournamentK)
+		p2 := tournament(r.rng, r.pop, cfg.TournamentK)
 		c1, c2 := r.pp.clone(p1.p), r.pp.clone(p2.p)
 		crossoverInto(r.rng, c1, c2, r.vars, cfg.Capacity, &r.xsc)
 		for _, c := range []*Placement{c1, c2} {
@@ -327,16 +279,19 @@ func (r *gaRun) step() {
 				break
 			}
 			if r.rng.Float64() < cfg.MutationRate {
-				mutate(r.rng, c, r.s, cfg)
+				mutate(r.rng, c, r.ev, cfg)
 			}
 			offspring = append(offspring, individual{p: c})
 		}
 	}
 	if cfg.Workers > 1 {
-		if r.workerCaches == nil {
-			r.workerCaches = makeWorkerCaches(r.s, r.kern, cfg.Port, r.q, cfg.Workers)
+		if r.workers == nil {
+			r.workers = make([]*fitness, cfg.Workers)
+			for w := range r.workers {
+				r.workers[w] = r.ev.fitness(r.q)
+			}
 		}
-		evalParallel(r.workerCaches, offspring)
+		evalParallel(r.workers, offspring)
 		r.evalCount += int64(len(offspring))
 	} else {
 		for i := range offspring {
@@ -349,16 +304,16 @@ func (r *gaRun) step() {
 	next := make([]individual, 0, cfg.Mu)
 	poolBest := pool[0]
 	for _, ind := range pool[1:] {
-		if cfg.better(ind.cost, poolBest.cost) {
+		if ind.cost < poolBest.cost {
 			poolBest = ind
 		}
 	}
 	next = append(next, poolBest)
 	for len(next) < cfg.Mu {
-		next = append(next, tournament(r.rng, pool, cfg.TournamentK, &cfg))
+		next = append(next, tournament(r.rng, pool, cfg.TournamentK))
 	}
 	r.pop = next
-	if cfg.better(poolBest.cost, r.best.cost) {
+	if poolBest.cost < r.best.cost {
 		r.best = poolBest
 	}
 	r.gens++
@@ -395,43 +350,12 @@ func (r *gaRun) result() *GAResult {
 	}
 }
 
-// workerEval is one parallel-evaluation worker's private state: a
-// lookup buffer and a DBC cost cache (or, under a multi-port objective,
-// a track-state buffer for the exact replay) that live for the whole GA
-// run, so cross-generation content sharing (elites, converged
-// populations) hits the cache in parallel mode exactly as it does
-// serially.
-type workerEval struct {
-	seq    *trace.Sequence
-	lookup *Lookup
-	cache  *dbcCostCache
-	port   *PortModel
-	off    []int
-}
-
-func makeWorkerCaches(s *trace.Sequence, kern *CostKernel, pm *PortModel, q, workers int) []*workerEval {
-	out := make([]*workerEval, workers)
-	for w := range out {
-		we := &workerEval{
-			seq:    s,
-			lookup: &Lookup{DBCOf: make([]int, s.NumVars()), Offset: make([]int, s.NumVars())},
-			port:   pm,
-		}
-		if pm == nil {
-			we.cache = newDBCCostCache(kern)
-		} else {
-			we.off = make([]int, q)
-		}
-		out[w] = we
-	}
-	return out
-}
-
-// evalParallel computes offspring fitness on a worker pool; each worker
-// owns its run-long buffers, and all workers share the immutable kernel
-// (or port model). Costs are identical to the sequential path (caches
-// change speed, never values).
-func evalParallel(workers []*workerEval, offspring []individual) {
+// evalParallel computes offspring fitness on a worker pool. Each worker
+// owns run-long fitness state (so cross-generation content sharing hits
+// its DBC cost cache exactly as the serial path does), and all workers
+// share the immutable kernel or port model. Costs are identical to the
+// sequential path (caches change speed, never values).
+func evalParallel(workers []*fitness, offspring []individual) {
 	var wg sync.WaitGroup
 	next := make(chan int)
 	n := len(workers)
@@ -439,17 +363,12 @@ func evalParallel(workers []*workerEval, offspring []individual) {
 		n = len(offspring)
 	}
 	for w := 0; w < n; w++ {
-		we := workers[w]
+		f := workers[w]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				fillLookup(we.lookup, offspring[i].p)
-				if we.port != nil {
-					offspring[i].cost = portCostLookup(we.seq, we.lookup, we.port, we.off)
-				} else {
-					offspring[i].cost = we.cache.eval(we.lookup, offspring[i].p)
-				}
+				offspring[i].cost = f.cost(offspring[i].p)
 			}
 		}()
 	}
@@ -474,13 +393,12 @@ func fillLookup(l *Lookup, p *Placement) {
 }
 
 // tournament draws k individuals with replacement and keeps the fittest
-// under the configured objective (raw shift order for every objective —
-// see GAConfig.better).
-func tournament(rng *rand.Rand, pop []individual, k int, cfg *GAConfig) individual {
+// (raw shift order for every objective — see GA).
+func tournament(rng *rand.Rand, pop []individual, k int) individual {
 	best := pop[rng.Intn(len(pop))]
 	for i := 1; i < k; i++ {
 		c := pop[rng.Intn(len(pop))]
-		if cfg.better(c.cost, best.cost) {
+		if c.cost < best.cost {
 			best = c
 		}
 	}
@@ -638,7 +556,7 @@ func moveVar(p *Placement, v, from, to int) {
 // DBC, or randomly permute every DBC — or, when ImproveWeight is positive,
 // the memetic local-improvement operator, chosen with the configured
 // weights.
-func mutate(rng *rand.Rand, p *Placement, s *trace.Sequence, cfg GAConfig) {
+func mutate(rng *rand.Rand, p *Placement, ev *Evaluator, cfg GAConfig) {
 	total := cfg.MoveWeight + cfg.TransposeWeight + cfg.PermuteWeight + cfg.ImproveWeight
 	if total <= 0 {
 		return
@@ -651,20 +569,17 @@ func mutate(rng *rand.Rand, p *Placement, s *trace.Sequence, cfg GAConfig) {
 	case r < cfg.MoveWeight+cfg.TransposeWeight+cfg.PermuteWeight:
 		mutatePermute(rng, p)
 	default:
-		mutateImprove(rng, p, s, cfg)
+		mutateImprove(rng, p, ev)
 	}
 }
 
 // mutateImprove runs one first-improvement 2-opt sweep over the offset
 // order of one random DBC with at least three variables, evaluated
-// incrementally. It can only keep or lower the individual's fitness; the
-// GA's exploration pressure comes from the other operators. With a
-// kernel at hand (the GA always threads its own) the DeltaEvaluator is
-// derived from it in O(nnz) instead of replaying the access stream.
-// Under a multi-port objective the sweep runs on the port-aware
-// evaluator instead, so the polish improves the same cost the fitness
-// function charges.
-func mutateImprove(rng *rand.Rand, p *Placement, s *trace.Sequence, cfg GAConfig) {
+// incrementally under the run's objective (Evaluator.improveStep), so the
+// polish improves the same cost the fitness function charges. It can
+// only keep or lower the individual's fitness; the GA's exploration
+// pressure comes from the other operators.
+func mutateImprove(rng *rand.Rand, p *Placement, ev *Evaluator) {
 	var eligible []int
 	for d, vars := range p.DBC {
 		if len(vars) >= 3 {
@@ -674,28 +589,7 @@ func mutateImprove(rng *rand.Rand, p *Placement, s *trace.Sequence, cfg GAConfig
 	if len(eligible) == 0 {
 		return
 	}
-	d := eligible[rng.Intn(len(eligible))]
-	if pm := cfg.Port; pm != nil {
-		e := NewPortDeltaEvaluator(s, p.DBC[d], pm)
-		if e.Accesses() < 2 {
-			return
-		}
-		e.ImprovePass()
-		copy(p.DBC[d], e.CurrentOrder())
-		return
-	}
-	kern := cfg.Kernel
-	var e *DeltaEvaluator
-	if kern != nil && kern.Sequence() == s {
-		e = NewDeltaEvaluatorFromKernel(kern, p.DBC[d])
-	} else {
-		e = NewDeltaEvaluator(s, p.DBC[d])
-	}
-	if e.Accesses() < 2 {
-		return
-	}
-	e.ImprovePass()
-	copy(p.DBC[d], e.CurrentOrder())
+	ev.improveStep(p.DBC[eligible[rng.Intn(len(eligible))]])
 }
 
 func mutateMove(rng *rand.Rand, p *Placement, capacity int) {
@@ -762,35 +656,29 @@ type RWConfig struct {
 	Iterations int
 	Seed       int64
 	Capacity   int
-	// Kernel optionally supplies a pre-built cost kernel for the
-	// sequence, exactly as GAConfig.Kernel does for the GA.
-	Kernel *CostKernel
-	// Port, when non-nil, evaluates candidates under the multi-port
-	// cost model (bounded exact replay), exactly as GAConfig.Port does
-	// for the GA. nil is the paper's single-port model.
-	Port *PortModel
-	// Cost, when non-nil, names the objective the walk optimizes for.
-	// As with GAConfig.Cost, candidates are still compared by raw shift
-	// count — the bounded evaluators require the additive int64 shift
-	// structure, and the monotone reduction (costmodel.go) makes that
-	// comparison exactly the scalarized one — so the visited best-so-far
-	// sequence is identical across objectives. nil is the raw shift
-	// objective.
-	Cost *CostModel
 }
 
 // DefaultRWConfig returns the paper's random-walk parameters.
 func DefaultRWConfig() RWConfig { return RWConfig{Iterations: 60000, Seed: 1} }
 
 // RandomWalk generates random placements of the variables to DBCs with
-// random within-DBC permutations and returns the best one found.
+// random within-DBC permutations and returns the best one found, under
+// the single-port cost model. Candidates are compared by raw shift count
+// under every objective (the monotone reduction of costmodel.go), so the
+// visited best-so-far sequence is identical across objectives.
 func RandomWalk(s *trace.Sequence, q int, cfg RWConfig) (*Placement, int64, error) {
+	return randomWalk(NewEvaluator(s, nil, nil), q, cfg)
+}
+
+// randomWalk is RandomWalk on a resolved cost path.
+func randomWalk(ev *Evaluator, q int, cfg RWConfig) (*Placement, int64, error) {
 	if q <= 0 {
 		return nil, 0, fmt.Errorf("placement: q must be positive, got %d", q)
 	}
 	if cfg.Iterations <= 0 {
 		return nil, 0, fmt.Errorf("placement: iterations must be positive, got %d", cfg.Iterations)
 	}
+	s := ev.s
 	a := trace.Analyze(s)
 	vars := a.ByFirstUse()
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -803,29 +691,8 @@ func RandomWalk(s *trace.Sequence, q int, cfg RWConfig) (*Placement, int64, erro
 	// proves it (bounded evaluation is exact below the bound, and at or
 	// above the bound the placement is not strictly better, so the
 	// best-so-far sequence — and therefore the result — is identical to
-	// full evaluation).
-	//
-	// Random placements are adversarial for the stencil kernel: scans
-	// are deep and branch-miss bound, and the linear replay wins unless
-	// the trace is strongly loop-compressed (see DESIGN.md §8). Pick the
-	// evaluator by the kernel's measured compression; when no shared
-	// kernel was supplied, the speculative build aborts (nil) as soon as
-	// the table provably exceeds the compression threshold.
-	kern := cfg.Kernel
-	if kern != nil && kern.Sequence() != s {
-		kern = nil
-	}
-	if cfg.Port == nil {
-		if kern == nil {
-			kern = buildCostKernel(s, s.Len()/2)
-		}
-	} else {
-		kern = nil // the kernel prices the single-port model only
-	}
-	useKernel := kern != nil && kern.Candidates() < s.Len()/2
-	sc := replayPool.Get().(*replayScratch)
-	defer replayPool.Put(sc)
-	last := sc.grow(q)
+	// full evaluation). The evaluator picks the bounded pricer.
+	price := ev.walkPricer(q)
 	for v := range lookup.DBCOf {
 		lookup.DBCOf[v] = -1
 		lookup.Offset[v] = -1
@@ -836,15 +703,7 @@ func RandomWalk(s *trace.Sequence, q int, cfg RWConfig) (*Placement, int64, erro
 	p := NewEmpty(q)
 	for it := 0; it < cfg.Iterations; it++ {
 		randomPlacementLookup(p, lookup, rng, vars, cfg.Capacity)
-		var c int64
-		switch {
-		case cfg.Port != nil:
-			c = portCostLookupBounded(s, lookup, cfg.Port, last, bestCost)
-		case useKernel:
-			c = kern.CostBounded(lookup, bestCost)
-		default:
-			c = shiftCostLookupBounded(s, lookup, last, bestCost)
-		}
+		c := price.cost(lookup, bestCost)
 		// c is exact whenever it is below bestCost (bounded evaluation),
 		// so comparing raw shift counts here is comparing scalarized
 		// costs: every objective is strictly monotone in shifts.
@@ -887,15 +746,4 @@ func randomPlacementLookup(p *Placement, l *Lookup, rng *rand.Rand, vars []int, 
 			l.Offset[d[j]] = j
 		})
 	}
-}
-
-// SortDBCsBySize is a helper used by reports: returns DBC indices ordered
-// by descending occupancy.
-func SortDBCsBySize(p *Placement) []int {
-	idx := make([]int, len(p.DBC))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return len(p.DBC[idx[a]]) > len(p.DBC[idx[b]]) })
-	return idx
 }

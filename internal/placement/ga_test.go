@@ -46,7 +46,7 @@ func TestGAMemeticStrategy(t *testing.T) {
 		if trial%2 == 0 { // exercise both the kernel-derived and replay setups
 			kern = NewCostKernel(seq)
 		}
-		mutateImprove(rng, p, seq, GAConfig{Kernel: kern})
+		mutateImprove(rng, p, NewEvaluator(seq, kern, nil))
 		after, err := ShiftCost(seq, p)
 		if err != nil {
 			t.Fatal(err)
@@ -214,7 +214,7 @@ func TestMutationsPreserveValidity(t *testing.T) {
 		vars := a.ByFirstUse()
 		q := 1 + rng.Intn(4)
 		p := randomPlacement(rng, vars, q, 0)
-		mutate(rng, p, s, cfg)
+		mutate(rng, p, NewEvaluator(s, nil, nil), cfg)
 		if err := p.Validate(s, 0); err != nil {
 			t.Fatalf("trial %d: mutation broke placement: %v", trial, err)
 		}

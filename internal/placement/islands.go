@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/pool"
-	"repro/internal/trace"
 )
 
 // Island-model GA (DESIGN.md §11): GAConfig.Islands independent
@@ -39,9 +38,9 @@ func islandSeed(seed int64, island int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// islandGA runs the island model. Called by GAContext when
-// cfg.Islands > 1; Mu, Lambda and Generations are per island.
-func islandGA(ctx context.Context, s *trace.Sequence, q int, cfg GAConfig) (*GAResult, error) {
+// islandGA runs the island model. Called by runGA when cfg.Islands > 1;
+// Mu, Lambda and Generations are per island.
+func islandGA(ctx context.Context, ev *Evaluator, q int, cfg GAConfig) (*GAResult, error) {
 	islands := cfg.Islands
 	migrate := cfg.MigrationEvery
 	if migrate <= 0 {
@@ -55,20 +54,18 @@ func islandGA(ctx context.Context, s *trace.Sequence, q int, cfg GAConfig) (*GAR
 		elites = cfg.Mu
 	}
 
-	// One kernel build shared by every island (the kernel is immutable
-	// and safe for concurrent use); each island keeps its own DBC cost
-	// cache via its gaRun, so fitness evaluation never crosses islands.
+	// Every island prices through the one evaluator, so the kernel is
+	// built once and shared (it is immutable and safe for concurrent
+	// use); each island keeps its own fitness state via its gaRun, so
+	// fitness evaluation never crosses islands.
 	icfg := cfg
-	if icfg.Port == nil {
-		icfg.Kernel = kernelFor(icfg.Kernel, s)
-	}
 	icfg.Workers = 0 // islands are the parallel axis; per-island evaluation is serial
 
 	runs := make([]*gaRun, islands)
 	for i := range runs {
 		c := icfg
 		c.Seed = islandSeed(cfg.Seed, i)
-		r, err := newGARun(s, q, c)
+		r, err := newGARun(ev, q, c)
 		if err != nil {
 			return nil, err
 		}
@@ -159,7 +156,7 @@ func (r *gaRun) immigrate(in []individual) {
 	for j, m := range in {
 		slot := idx[len(idx)-1-j] // worst first, ties broken by index
 		r.pop[slot] = m
-		if r.cfg.better(m.cost, r.best.cost) {
+		if m.cost < r.best.cost {
 			r.best = m
 		}
 	}
@@ -184,7 +181,7 @@ func popByCost(pop []individual) []int {
 func composeIslands(runs []*gaRun, ctxErr error) (*GAResult, error) {
 	best := runs[0]
 	for _, r := range runs[1:] {
-		if r.cfg.better(r.best.cost, best.best.cost) {
+		if r.best.cost < best.best.cost {
 			best = r
 		}
 	}

@@ -26,15 +26,15 @@ func BenchmarkIslandGA(b *testing.B) {
 			cfg.Islands = islands
 			cfg.Workers = islands
 			cfg.MigrationEvery = 2
-			cfg.Kernel = kern
+			opts := Options{GA: cfg, Kernel: kern, DisableGASeeding: true}
 			b.ResetTimer()
 			var cost int64
 			for i := 0; i < b.N; i++ {
-				r, err := GA(s, 4, cfg)
+				_, c, err := Place(StrategyGA, s, 4, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
-				cost = r.Cost
+				cost = c
 			}
 			b.ReportMetric(float64(cost), "shifts")
 		})

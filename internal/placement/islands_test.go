@@ -97,31 +97,30 @@ func TestIslandGADeterministicMultiPort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := islandGAConfig(7, 3, 3, 1)
-	base.Generations = 9
-	base.Port = pm
+	opts := Options{GA: islandGAConfig(7, 3, 3, 1), Ports: 2, PortDomains: 16, DisableGASeeding: true}
+	opts.GA.Generations = 9
 
-	var ref *GAResult
+	var ref *Placement
+	var refCost int64
 	for _, workers := range []int{1, 3} {
-		cfg := base
-		cfg.Workers = workers
-		r, err := GA(s, 3, cfg)
+		opts.GA.Workers = workers
+		p, c, err := Place(StrategyGA, s, 3, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ref == nil {
-			ref = r
-		} else if r.Cost != ref.Cost || !r.Best.Equal(ref.Best) {
-			t.Fatalf("multi-port workers=%d diverged: %d vs %d", workers, r.Cost, ref.Cost)
+			ref, refCost = p, c
+		} else if c != refCost || !p.Equal(ref) {
+			t.Fatalf("multi-port workers=%d diverged: %d vs %d", workers, c, refCost)
 		}
 	}
 	// The reported cost must be the port objective of the best placement.
-	want, err := PortCost(s, ref.Best, pm)
+	want, err := PortCost(s, ref, pm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.Cost != want {
-		t.Fatalf("island GA cost %d != port objective %d", ref.Cost, want)
+	if refCost != want {
+		t.Fatalf("island GA cost %d != port objective %d", refCost, want)
 	}
 }
 

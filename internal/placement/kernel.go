@@ -3,6 +3,7 @@ package placement
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 
@@ -45,7 +46,7 @@ import (
 // afterwards, hence safe for concurrent use from any number of
 // evaluation goroutines. Cost is allocation-free; callers own the Lookup
 // scratch. The single-port cost model only: multi-port geometries go
-// through EngineCost.
+// through PortModel (Evaluator picks between the two).
 type CostKernel struct {
 	seq      *trace.Sequence
 	numVars  int
@@ -370,7 +371,7 @@ func (k *CostKernel) sameWindow(r int32, win []int32) bool {
 
 // Sequence returns the sequence this kernel summarizes, or nil for a
 // kernel built from a stream (NewCostKernelStream). Callers sharing
-// kernels (Options.Kernel, GAConfig.Kernel) key on pointer identity: a
+// kernels (Options.Kernel, NewEvaluator) key on pointer identity: a
 // kernel is only ever applied to the exact sequence it was built from.
 func (k *CostKernel) Sequence() *trace.Sequence { return k.seq }
 
@@ -404,18 +405,7 @@ func (k *CostKernel) Candidates() int { return len(k.cand) }
 // Allocation-free and safe to call concurrently with distinct lookups.
 //
 //rtm:hotpath
-func (k *CostKernel) Cost(l *Lookup) int64 {
-	dbc, off := l.DBCOf, l.Offset
-	var total int64
-	for _, v := range k.varOrder {
-		dv := dbc[v]
-		if dv < 0 {
-			continue
-		}
-		total += k.varCost(dbc, off, int(v), dv)
-	}
-	return total
-}
+func (k *CostKernel) Cost(l *Lookup) int64 { return k.CostBounded(l, math.MaxInt64) }
 
 // varCost sums the contributions of one charged variable's row group.
 // The table slices are hoisted into locals: dbc/off may alias arbitrary
@@ -531,7 +521,7 @@ func (k *CostKernel) Breakdown(p *Placement) (*CostBreakdown, error) {
 // Rebind returns a kernel bound to s, sharing this kernel's immutable
 // stencil tables: content-addressed caches hand out one kernel for every
 // content-equal sequence, but the strategy plumbing validates kernels by
-// sequence pointer (Options.Kernel, GAConfig.Kernel), so a cache hit
+// sequence pointer (Options.Kernel, NewEvaluator), so a cache hit
 // under a different pointer must be re-pointed before it is usable.
 // Returns k itself when s is already the bound sequence, and nil when s
 // is not content-equal (the caller must build a fresh kernel). The
@@ -561,15 +551,6 @@ func (k *CostKernel) Rebind(s *trace.Sequence) *CostKernel {
 		accCnt:   k.accCnt,
 		seeds:    k.seeds,
 	}
-}
-
-// kernelFor returns a kernel for s: the supplied one when it was built
-// from exactly this sequence, otherwise a freshly built one.
-func kernelFor(k *CostKernel, s *trace.Sequence) *CostKernel {
-	if k != nil && k.seq == s {
-		return k
-	}
-	return NewCostKernel(s)
 }
 
 // NewDeltaEvaluatorFromKernel derives the incremental intra-DBC

@@ -194,24 +194,23 @@ func TestGAKernelSharingDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared := cfg
-	shared.Kernel = NewCostKernel(s)
-	got, err := GA(s, 4, shared)
+	opts := Options{GA: cfg, DisableGASeeding: true}
+	opts.Kernel = NewCostKernel(s)
+	got, cost, err := Place(StrategyGA, s, 4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Cost != got.Cost || !base.Best.Equal(got.Best) {
-		t.Fatalf("shared kernel changed the GA result: %d vs %d", base.Cost, got.Cost)
+	if base.Cost != cost || !base.Best.Equal(got) {
+		t.Fatalf("shared kernel changed the GA result: %d vs %d", base.Cost, cost)
 	}
 	// A kernel for the wrong sequence must be ignored, not mis-applied.
-	wrong := cfg
-	wrong.Kernel = NewCostKernel(randKernelSeq(rng, 14, 100))
-	got2, err := GA(s, 4, wrong)
+	opts.Kernel = NewCostKernel(randKernelSeq(rng, 14, 100))
+	got2, cost2, err := Place(StrategyGA, s, 4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Cost != got2.Cost || !base.Best.Equal(got2.Best) {
-		t.Fatalf("foreign kernel changed the GA result: %d vs %d", base.Cost, got2.Cost)
+	if base.Cost != cost2 || !base.Best.Equal(got2) {
+		t.Fatalf("foreign kernel changed the GA result: %d vs %d", base.Cost, cost2)
 	}
 }
 

@@ -2,7 +2,7 @@ package placement
 
 import (
 	"fmt"
-	"sync"
+	"math"
 
 	"repro/internal/rtm"
 	"repro/internal/trace"
@@ -91,31 +91,14 @@ func (m *PortModel) step(off, x int) (cost, newOff int) {
 	return bestCost, bestOff
 }
 
-// portScratch is the reusable per-DBC track-state buffer of the
-// multi-port replay loop, pooled so repeated PortCost calls stop
-// allocating per call (the multi-port analogue of replayScratch).
-type portScratch struct{ off []int }
-
-var portPool = sync.Pool{New: func() any { return new(portScratch) }}
-
 // portCold marks a DBC whose track has not been accessed yet (the first
 // access is free, with the track pre-aligned to the cheapest port).
 const portCold = int(^uint(0) >> 1) // MaxInt: never a reachable offset
 
-// grow returns the scratch resized to q entries, reusing the backing
-// array when it is large enough. portCostLookup resets the contents.
-func (sc *portScratch) grow(q int) []int {
-	if cap(sc.off) < q {
-		sc.off = make([]int, q)
-	}
-	sc.off = sc.off[:q]
-	return sc.off
-}
-
 // PortCost replays the access sequence against the placement under the
 // multi-port model and returns the exact total shift count — what
 // EngineCost computes by allocating one rtm.ShiftEngine per DBC, here
-// with pooled scratch only. The hot inner loop (portCostLookup) is
+// with pooled scratch only. The hot inner loop (portCostLookupBounded) is
 // allocation-free; callers pricing many placements of one sequence
 // should build the Lookup once and call it directly.
 func PortCost(s *trace.Sequence, p *Placement, m *PortModel) (int64, error) {
@@ -123,43 +106,21 @@ func PortCost(s *trace.Sequence, p *Placement, m *PortModel) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	sc := portPool.Get().(*portScratch)
-	c := portCostLookup(s, l, m, sc.grow(numDBCsIn(l)))
-	portPool.Put(sc)
+	sc := scratchPool.Get().(*scratch)
+	c := portCostLookupBounded(s, l, m, sc.grow(numDBCsIn(l)), math.MaxInt64)
+	scratchPool.Put(sc)
 	return c, nil
 }
 
-// portCostLookup is the allocation-free inner loop of the multi-port
-// replay path. The lookup must cover every accessed variable; off must
-// have one entry per DBC of the lookup (callers thread a reusable
-// buffer through).
-//
-//rtm:hotpath
-func portCostLookup(s *trace.Sequence, l *Lookup, m *PortModel, off []int) int64 {
-	for i := range off {
-		off[i] = portCold
-	}
-	var total int64
-	for _, a := range s.Accesses {
-		d := l.DBCOf[a.Var]
-		x := l.Offset[a.Var]
-		if o := off[d]; o != portCold {
-			c, no := m.step(o, x)
-			total += int64(c)
-			off[d] = no
-		} else {
-			_, off[d] = m.step(0, x)
-		}
-	}
-	return total
-}
-
-// portCostLookupBounded is portCostLookup with an abort threshold: the
-// running total only grows, so once it reaches bound the final cost
-// provably does too and the replay stops. Exact below bound; at or
-// above bound the value is only a certificate that cost >= bound.
+// portCostLookupBounded is the allocation-free inner loop of the
+// multi-port replay path, with an abort threshold: the running total only
+// grows, so once it reaches bound the final cost provably does too and
+// the replay stops. Exact below bound (math.MaxInt64 prices in full); at
+// or above bound the value is only a certificate that cost >= bound.
 // Best-of-N searches (the multi-port random walk) use it to discard
-// losing placements early.
+// losing placements early. The lookup must cover every accessed
+// variable; off must have one entry per DBC of the lookup (callers thread
+// a reusable buffer through).
 //
 //rtm:hotpath
 func portCostLookupBounded(s *trace.Sequence, l *Lookup, m *PortModel, off []int, bound int64) int64 {

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -242,7 +243,7 @@ func TestTwoOptPortNeverWorsens(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := portEvalOracle(t, s, order, m)
-		after := portEvalOracle(t, s, twoOptPort(order, s, m), m)
+		after := portEvalOracle(t, s, sweep(NewPortDeltaEvaluator(s, order, m), order, maxTwoOptPasses), m)
 		if after > before {
 			t.Fatalf("trial %d: port polish worsened %d -> %d", trial, before, after)
 		}
@@ -396,7 +397,7 @@ func BenchmarkPortCost(b *testing.B) {
 	b.ResetTimer()
 	var sink int64
 	for i := 0; i < b.N; i++ {
-		sink += portCostLookup(s, l, m, off)
+		sink += portCostLookupBounded(s, l, m, off, math.MaxInt64)
 	}
 	_ = sink
 }

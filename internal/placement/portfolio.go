@@ -120,16 +120,16 @@ func RacePortfolio(ctx context.Context, s *trace.Sequence, q int, cfg PortfolioC
 		return nil, fmt.Errorf("placement: portfolio has no strategies")
 	}
 
-	// Resolve the cost model once for the whole race: every strategy
+	// Resolve the cost path once for the whole race: every strategy
 	// shares one kernel build (the kernel is immutable and safe for
 	// concurrent use), and the bounded pricing below follows the same
 	// objective the strategies report under.
 	opts := cfg.Options
-	pm, err := opts.PortModelFor(q)
+	ev, err := opts.Evaluator(s, q)
 	if err != nil {
 		return nil, err
 	}
-	opts.Kernel = kernelFor(opts.Kernel, s)
+	opts.Kernel = ev.kernel()
 
 	var progressMu sync.Mutex
 	emit := func(ev PortfolioEvent) {
@@ -165,7 +165,7 @@ func RacePortfolio(ctx context.Context, s *trace.Sequence, q int, cfg PortfolioC
 		emit(PortfolioEvent{Strategy: id, Index: i, Total: len(ids)})
 		o := opts
 		o.Context = ctx
-		p, cost, abandoned, err := raceOne(s, q, st, o, pm, &incumbent)
+		p, cost, abandoned, err := raceOne(ev, q, st, o, &incumbent)
 		if err != nil {
 			return fmt.Errorf("placement: portfolio strategy %q: %w", id, err)
 		}
@@ -200,7 +200,8 @@ func RacePortfolio(ctx context.Context, s *trace.Sequence, q int, cfg PortfolioC
 // strategy is only abandoned when its cost provably exceeds the
 // incumbent — an exact tie still prices fully, keeping the
 // first-in-order tie break deterministic.
-func raceOne(s *trace.Sequence, q int, st Strategy, opts Options, pm *PortModel, incumbent *atomic.Int64) (*Placement, int64, bool, error) {
+func raceOne(ev *Evaluator, q int, st Strategy, opts Options, incumbent *atomic.Int64) (*Placement, int64, bool, error) {
+	s := ev.s
 	h, ok := st.(constructive)
 	if !ok {
 		p, cost, err := st.Place(s, q, opts)
@@ -214,31 +215,9 @@ func raceOne(s *trace.Sequence, q int, st Strategy, opts Options, pm *PortModel,
 	if inc := incumbent.Load(); inc < math.MaxInt64 {
 		bound = inc + 1
 	}
-	cost, err := boundedCost(s, p, q, opts, pm, bound)
+	cost, err := ev.CostBounded(p, bound)
 	if err != nil {
 		return nil, 0, false, err
 	}
 	return p, cost, cost >= bound, nil
-}
-
-// boundedCost prices a placement under the options' cost model with an
-// abort threshold: exact below bound, a certificate of cost >= bound at
-// or above it. It is costOf with early termination.
-func boundedCost(s *trace.Sequence, p *Placement, q int, opts Options, pm *PortModel, bound int64) (int64, error) {
-	l, err := p.BuildLookup(s.NumVars())
-	if err != nil {
-		return 0, err
-	}
-	if pm != nil {
-		sc := portPool.Get().(*portScratch)
-		c := portCostLookupBounded(s, l, pm, sc.grow(numDBCsIn(l)), bound)
-		portPool.Put(sc)
-		return c, nil
-	}
-	if k := opts.Kernel; k != nil && k.Sequence() == s {
-		return k.CostBounded(l, bound), nil
-	}
-	sc := replayPool.Get().(*replayScratch)
-	defer replayPool.Put(sc)
-	return shiftCostLookupBounded(s, l, sc.grow(q), bound), nil
 }

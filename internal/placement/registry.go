@@ -205,12 +205,7 @@ func (afdOFU) construct(s *trace.Sequence, q int, opts Options) (*Placement, err
 }
 
 func (h afdOFU) Place(s *trace.Sequence, q int, opts Options) (*Placement, int64, error) {
-	p, err := h.construct(s, q, opts)
-	if err != nil {
-		return nil, 0, err
-	}
-	c, err := costOf(s, p, q, opts)
-	return p, c, err
+	return placeConstructed(h, s, q, opts)
 }
 
 // dma is the paper's heuristic (Algorithm 1) paired with an intra-DBC
@@ -236,11 +231,21 @@ func (d dma) construct(s *trace.Sequence, q int, opts Options) (*Placement, erro
 }
 
 func (d dma) Place(s *trace.Sequence, q int, opts Options) (*Placement, int64, error) {
-	p, err := d.construct(s, q, opts)
+	return placeConstructed(d, s, q, opts)
+}
+
+// placeConstructed runs a constructive heuristic and prices its placement
+// through the options' evaluator.
+func placeConstructed(h constructive, s *trace.Sequence, q int, opts Options) (*Placement, int64, error) {
+	p, err := h.construct(s, q, opts)
 	if err != nil {
 		return nil, 0, err
 	}
-	c, err := costOf(s, p, q, opts)
+	ev, err := opts.Evaluator(s, q)
+	if err != nil {
+		return p, 0, err
+	}
+	c, err := ev.Cost(p)
 	return p, c, err
 }
 
@@ -269,18 +274,10 @@ func (g ga) Place(s *trace.Sequence, q int, opts Options) (*Placement, int64, er
 		cfg.Workers = island.Workers
 	}
 	cfg.Capacity = opts.Capacity
-	if cfg.Kernel == nil {
-		cfg.Kernel = opts.Kernel // GA validates the sequence match itself
-	}
-	if cfg.Port == nil {
-		pm, err := opts.PortModelFor(q)
-		if err != nil {
-			return nil, 0, err
-		}
-		cfg.Port = pm // fitness and the memetic polish follow the true objective
-	}
-	if cfg.Cost == nil {
-		cfg.Cost = opts.Cost // comparison stays raw shift order; see GAConfig.Cost
+	// Fitness and the memetic polish follow the options' objective.
+	ev, err := opts.Evaluator(s, q)
+	if err != nil {
+		return nil, 0, err
 	}
 	if g.memetic && cfg.ImproveWeight == 0 {
 		// Same order of magnitude as the paper's permute skew: rare
@@ -288,13 +285,13 @@ func (g ga) Place(s *trace.Sequence, q int, opts Options) (*Placement, int64, er
 		cfg.ImproveWeight = 3
 	}
 	if len(cfg.Seeds) == 0 && !opts.DisableGASeeding {
-		seeds, err := heuristicSeeds(s, q, opts)
+		seeds, err := heuristicSeeds(ev, q, opts.Capacity)
 		if err != nil {
 			return nil, 0, err
 		}
 		cfg.Seeds = seeds
 	}
-	res, err := GAContext(opts.ctx(), s, q, cfg)
+	res, err := runGA(opts.ctx(), ev, q, cfg)
 	if err != nil {
 		// A cancelled search still carries its best-so-far placement;
 		// surface it alongside the context error so deadline-bounded
@@ -329,20 +326,11 @@ func (rw) Place(s *trace.Sequence, q int, opts Options) (*Placement, int64, erro
 		cfg = DefaultRWConfig()
 	}
 	cfg.Capacity = opts.Capacity
-	if cfg.Kernel == nil {
-		cfg.Kernel = opts.Kernel
+	ev, err := opts.Evaluator(s, q)
+	if err != nil {
+		return nil, 0, err
 	}
-	if cfg.Port == nil {
-		pm, err := opts.PortModelFor(q)
-		if err != nil {
-			return nil, 0, err
-		}
-		cfg.Port = pm
-	}
-	if cfg.Cost == nil {
-		cfg.Cost = opts.Cost
-	}
-	return RandomWalk(s, q, cfg)
+	return randomWalk(ev, q, cfg)
 }
 
 // builtinStrategies lists the strategies every fresh registry is seeded

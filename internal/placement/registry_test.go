@@ -128,7 +128,7 @@ func legacyPlace(id StrategyID, s *trace.Sequence, q int, opts Options) (*Placem
 		}
 		cfg.Capacity = opts.Capacity
 		if len(cfg.Seeds) == 0 && !opts.DisableGASeeding {
-			seeds, err := heuristicSeeds(s, q, opts)
+			seeds, err := heuristicSeeds(NewEvaluator(s, opts.Kernel, nil), q, opts.Capacity)
 			if err != nil {
 				return nil, 0, err
 			}

@@ -127,25 +127,6 @@ func (o Options) PortModelFor(q int) (*PortModel, error) {
 	return NewPortModel(domains, o.Ports)
 }
 
-// costOf prices a freshly computed placement into q DBCs under the
-// options' cost model: the exact multi-port replay when Ports > 1,
-// otherwise the shared kernel when the caller supplied one for this
-// exact sequence, otherwise the replay oracle. The single-port paths
-// return bit-identical costs.
-func costOf(s *trace.Sequence, p *Placement, q int, opts Options) (int64, error) {
-	pm, err := opts.PortModelFor(q)
-	if err != nil {
-		return 0, err
-	}
-	if pm != nil {
-		return PortCost(s, p, pm)
-	}
-	if k := opts.Kernel; k != nil && k.Sequence() == s {
-		return k.Evaluate(p)
-	}
-	return ShiftCost(s, p)
-}
-
 // Place runs the named strategy on the sequence with q DBCs and returns
 // the resulting placement and its shift cost. It is a thin compatibility
 // wrapper over the strategy registry: every registered strategy — the six
@@ -158,15 +139,17 @@ func Place(id StrategyID, s *trace.Sequence, q int, opts Options) (*Placement, i
 	return st.Place(s, q, opts)
 }
 
-// heuristicSeeds produces the heuristic placements used to seed the GA.
-// With a batch-shared kernel at hand the seeds are memoized per
-// (sequence, DBC count, capacity): every GA variant cell of an eval
+// heuristicSeeds constructs the placements of the four heuristic
+// strategies (HeuristicStrategies order) to seed the GA; the GA prices
+// them itself. With a batch-shared kernel at hand the seeds are memoized
+// per (sequence, DBC count, capacity): every GA variant cell of an eval
 // batch would otherwise recompute the same four heuristic placements.
-func heuristicSeeds(s *trace.Sequence, q int, opts Options) ([]*Placement, error) {
+func heuristicSeeds(ev *Evaluator, q, capacity int) ([]*Placement, error) {
 	compute := func() ([]*Placement, error) {
+		opts := Options{Capacity: capacity}
 		var seeds []*Placement
-		for _, id := range HeuristicStrategies() {
-			p, _, err := Place(id, s, q, Options{Capacity: opts.Capacity, Kernel: opts.Kernel})
+		for _, h := range []constructive{afdOFU{}, dma{intra: OFU}, dma{intra: Chen}, dma{intra: ShiftsReduce}} {
+			p, err := h.construct(ev.s, q, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -174,8 +157,8 @@ func heuristicSeeds(s *trace.Sequence, q int, opts Options) ([]*Placement, error
 		}
 		return seeds, nil
 	}
-	if k := opts.Kernel; k != nil && k.Sequence() == s {
-		return k.cachedSeeds(q, opts.Capacity, compute)
+	if k := ev.knownKernel(); k != nil {
+		return k.cachedSeeds(q, capacity, compute)
 	}
 	return compute()
 }

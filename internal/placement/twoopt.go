@@ -31,54 +31,5 @@ const maxTwoOptPasses = 24
 // twoopt_reference_test.go). Intended as a polish pass after Chen or
 // ShiftsReduce, and as the optional '+2opt' ablation in bench_test.go.
 func TwoOpt(vars []int, s *trace.Sequence, a *trace.Analysis) []int {
-	return twoOptWithKernel(vars, s, nil)
-}
-
-// twoOptWithKernel is TwoOpt with an optional cost kernel: when kern
-// summarizes s, the per-DBC DeltaEvaluator setup derives from it in
-// O(nnz) instead of replaying the stream. Search behaviour is identical.
-func twoOptWithKernel(vars []int, s *trace.Sequence, kern *CostKernel) []int {
-	order := append([]int(nil), vars...)
-	if len(order) < 3 {
-		return order
-	}
-	var e *DeltaEvaluator
-	if kern != nil && kern.Sequence() == s {
-		e = NewDeltaEvaluatorFromKernel(kern, order)
-	} else {
-		e = NewDeltaEvaluator(s, order)
-	}
-	if e.Accesses() < 2 {
-		return order
-	}
-	for pass := 0; pass < maxTwoOptPasses; pass++ {
-		if !e.ImprovePass() {
-			break
-		}
-	}
-	return e.CurrentOrder()
-}
-
-// twoOptPort is the TwoOpt sweep under the multi-port cost model: the
-// same move families, first-improvement rule and pass bound, evaluated
-// by the PortDeltaEvaluator's exact restricted replay instead of the
-// single-port O(freq) deltas. Like TwoOpt it can only keep or improve
-// the order's cost — under the *port* objective — so a port polish pass
-// appended to any heuristic order never scores worse than that order on
-// a multi-port device.
-func twoOptPort(vars []int, s *trace.Sequence, m *PortModel) []int {
-	order := append([]int(nil), vars...)
-	if len(order) < 3 {
-		return order
-	}
-	e := NewPortDeltaEvaluator(s, order, m)
-	if e.Accesses() < 2 {
-		return order
-	}
-	for pass := 0; pass < maxTwoOptPasses; pass++ {
-		if !e.ImprovePass() {
-			break
-		}
-	}
-	return e.CurrentOrder()
+	return NewEvaluator(s, nil, nil).Improve(vars)
 }

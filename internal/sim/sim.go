@@ -1,8 +1,8 @@
 // Package sim is the trace-driven RTM simulator used by the evaluation —
 // the stand-in for RTSim (see DESIGN.md §3). It replays access sequences
-// against a placement on a configured RTM device, drives one shift engine
-// per DBC, and converts the resulting event counts into latency and energy
-// using the Table I model.
+// against a placement on a configured RTM device, counts shifts under the
+// device's port layout, and converts the resulting event counts into
+// latency and energy using the Table I model.
 package sim
 
 import (
@@ -62,6 +62,9 @@ func (r *Result) Add(other Result) {
 }
 
 // RunSequence replays one sequence with its placement on the device.
+// The shift count is the placement evaluator's under the device's port
+// layout (bit-identical to one rtm.ShiftEngine per DBC, the
+// EngineCostAt oracle); reads and writes are placement-independent.
 func RunSequence(cfg Config, s *trace.Sequence, p *placement.Placement) (Result, error) {
 	if p.NumDBCs() > cfg.Geometry.DBCs() {
 		return Result{}, fmt.Errorf("sim: placement uses %d DBCs, device has %d", p.NumDBCs(), cfg.Geometry.DBCs())
@@ -71,54 +74,25 @@ func RunSequence(cfg Config, s *trace.Sequence, p *placement.Placement) (Result,
 			return Result{}, fmt.Errorf("sim: DBC occupancy %d exceeds %d domains", n, cfg.Geometry.WordsPerDBC())
 		}
 	}
-	lookup, err := p.BuildLookup(s.NumVars())
-	if err != nil {
-		return Result{}, err
-	}
 
 	// The device may have fewer domains than the (capacity-relaxed)
-	// placement needs; size engines to the placement so the shift counts
-	// remain those of the cost model. Energy/latency per shift still come
-	// from the configured Params. The access ports stay at the positions
-	// the *geometry* fabricated them at: growing the track must not
-	// silently respace the ports, or the simulated costs diverge from
-	// every evaluator that priced the placement against the configured
-	// device (regression-tested in TestRunSequenceGrownTrackKeepsPorts).
-	ports, err := cfg.Geometry.PortPositions()
+	// placement needs; the track then grows so the shift counts remain
+	// those of the cost model, with energy/latency per shift still from
+	// the configured Params. The access ports stay at the positions the
+	// *geometry* fabricated them at — the model's layout derives from the
+	// geometry's track length, never the occupancy — or the simulated
+	// costs would diverge from every evaluator that priced the placement
+	// against the configured device (TestRunSequenceGrownTrackKeepsPorts).
+	pm, err := placement.NewPortModel(cfg.Geometry.WordsPerDBC(), cfg.Geometry.PortsPerTrack)
 	if err != nil {
 		return Result{}, err
 	}
-	domains := cfg.Geometry.WordsPerDBC()
-	if n := p.MaxDBCLen(); n > domains {
-		domains = n
+	b, err := placement.NewEvaluator(s, nil, pm).Breakdown(p)
+	if err != nil {
+		return Result{}, fmt.Errorf("sim: %w", err)
 	}
-	engines := make([]*rtm.ShiftEngine, p.NumDBCs())
-	for i := range engines {
-		e, err := rtm.NewShiftEngineAt(domains, ports)
-		if err != nil {
-			return Result{}, err
-		}
-		engines[i] = e
-	}
-
-	var c energy.Counts
-	for i, a := range s.Accesses {
-		d := lookup.DBCOf[a.Var]
-		if d < 0 {
-			return Result{}, fmt.Errorf("sim: access %d to unplaced variable %s", i, s.Name(a.Var))
-		}
-		shifts, err := engines[d].Access(lookup.Offset[a.Var])
-		if err != nil {
-			return Result{}, err
-		}
-		c.Shifts += int64(shifts)
-		if a.Write {
-			c.Writes++
-		} else {
-			c.Reads++
-		}
-	}
-
+	t := placement.TallyOf(s, b.Total)
+	c := energy.Counts{Reads: t.Reads, Writes: t.Writes, Shifts: t.Shifts}
 	return Result{
 		Counts:    c,
 		LatencyNS: cfg.Params.LatencyNS(c),

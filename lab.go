@@ -299,7 +299,7 @@ func (l *Lab) placeOne(ctx context.Context, s *Sequence, opts PlaceOptions) (*Pl
 		if p == nil || ctx.Err() == nil {
 			return nil, err
 		}
-		b, berr := l.breakdownFor(s, p, stOpts, opts.DBCs)
+		b, berr := breakdownFor(s, p, stOpts, opts.DBCs)
 		if berr != nil || b.Total != c {
 			return nil, err
 		}
@@ -309,7 +309,7 @@ func (l *Lab) placeOne(ctx context.Context, s *Sequence, opts PlaceOptions) (*Pl
 		}
 		return res, err
 	}
-	b, err := l.breakdownFor(s, p, stOpts, opts.DBCs)
+	b, err := breakdownFor(s, p, stOpts, opts.DBCs)
 	if err != nil {
 		return nil, err
 	}
@@ -422,7 +422,7 @@ func (l *Lab) PlacePortfolio(ctx context.Context, s *Sequence, opts PlaceOptions
 	if err != nil {
 		return nil, fmt.Errorf("racetrack: place portfolio: %w", err)
 	}
-	b, err := l.breakdownFor(s, r.Placement, stOpts, opts.DBCs)
+	b, err := breakdownFor(s, r.Placement, stOpts, opts.DBCs)
 	if err != nil {
 		return nil, err
 	}
@@ -469,7 +469,11 @@ func (l *Lab) PlaceBenchmark(ctx context.Context, b *Benchmark, opts PlaceOption
 	// cache it is the replay pass the pre-session API also paid).
 	results, err := engine.Map(ctx, len(out), opts.Workers, func(_ context.Context, i int) (*PlaceResult, error) {
 		o := out[i]
-		bd, err := l.breakdownFor(b.Sequences[i], o.Placement, stOpts, opts.DBCs)
+		seqOpts := stOpts
+		if l.cache != nil {
+			seqOpts.Kernel = l.cache.kernel(b.Sequences[i])
+		}
+		bd, err := breakdownFor(b.Sequences[i], o.Placement, seqOpts, opts.DBCs)
 		if err != nil {
 			return nil, fmt.Errorf("sequence %d: %w", i, err)
 		}
@@ -500,22 +504,15 @@ func (l *Lab) PlaceBenchmark(ctx context.Context, b *Benchmark, opts PlaceOption
 	return res, nil
 }
 
-// breakdownFor attributes a placement's cost per DBC under the options'
-// effective cost model: the exact multi-port replay when the options
-// select more than one port, otherwise the kernel cache (when enabled)
-// or the replay oracle.
-func (l *Lab) breakdownFor(s *Sequence, p *Placement, stOpts StrategyOptions, q int) (*placement.CostBreakdown, error) {
-	pm, err := stOpts.PortModelFor(q)
+// breakdownFor attributes a placement's cost per DBC through the
+// options' evaluator — the cost path the strategy priced it with, so the
+// cached kernel in stOpts.Kernel serves the attribution too.
+func breakdownFor(s *Sequence, p *Placement, stOpts StrategyOptions, q int) (*placement.CostBreakdown, error) {
+	ev, err := stOpts.Evaluator(s, q)
 	if err != nil {
 		return nil, err
 	}
-	if pm != nil {
-		return placement.PortCostBreakdown(s, p, pm)
-	}
-	if l.cache != nil {
-		return l.cache.kernel(s).Breakdown(p)
-	}
-	return placement.ShiftCostBreakdown(s, p)
+	return ev.Breakdown(p)
 }
 
 // Simulate replays the sequence with the placement on the Lab's device
